@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go cover lint linkcheck fmt fmt-check vet ci
+.PHONY: build test quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go perfbench-test cover lint linkcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,15 @@ bench-go:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkKernel' -benchtime 0.2s ./internal/hades/
 
+# perfbench-test mirrors the CI perfbench step: vet and race-test the
+# end-to-end benchmark's nested module (perfbench/, outside ./...), then
+# a 5 s campaign-warm smoke whose result line must report a correct run.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test -race .
+	@out=$$(bash perfbench/run.sh --workload campaign-warm --seed 1 --seconds 5 --trace 0) || exit 1; \
+	echo "$$out"; echo "$$out" | tail -1 | grep -q '"correct":true' || \
+		{ echo "perfbench smoke: result is not correct" >&2; exit 1; }
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
@@ -116,4 +125,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint test quickstart smoke scenario-smoke sweep-smoke sweep-chaos race cover bench
+ci: build vet fmt-check lint test quickstart smoke scenario-smoke sweep-smoke sweep-chaos race perfbench-test cover bench

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/fsmsim"
+	"repro/internal/hades"
 	"repro/internal/operators"
 	"repro/internal/rtg"
 	"repro/internal/xmlspec"
@@ -49,6 +50,14 @@ func (e *Engine) CompileConfiguration(dp *xmlspec.Datapath, fsm *xmlspec.FSM, re
 type slotInfo struct {
 	name  string
 	width int
+	mask  uint64 // low width bits set
+	shift uint8  // 64-width: v<<shift>>shift (arithmetic) sign-extends
+}
+
+// maskShift precomputes a width's mask and sign-extension shift, which
+// replace hades.Mask and hades.SignExtend on every slot access.
+func maskShift(width int) (uint64, uint8) {
+	return hades.Mask(^uint64(0), width), uint8(64 - width)
 }
 
 type combKind uint8
@@ -70,7 +79,8 @@ type combNode struct {
 	ins   []int
 	un    operators.UnaryFn
 	bin   operators.BinaryFn
-	mem   int // combMemRead: memory index
+	mem   int   // combMemRead: memory index
+	deps  []int // every input slot (mux: ins, then sel)
 }
 
 // regNode is an edge-triggered register; en/rst are -1 when unconnected.
@@ -79,6 +89,7 @@ type regNode struct {
 	d, q    int
 	en, rst int
 	init    int64
+	deps    []int // d and the connected en/rst
 }
 
 // ramNode is a RAM's clocked port set; its read path is additionally a
@@ -87,6 +98,7 @@ type ramNode struct {
 	id                  string
 	mem                 int
 	addr, din, we, dout int
+	deps                []int // we, addr, din
 }
 
 // memSpec is the backing storage of one ram/rom instance. init is the
@@ -99,6 +111,8 @@ type memSpec struct {
 	width int
 	depth int
 	init  []int64
+	mask  uint64 // word mask and sign-extension shift, as slotInfo
+	shift uint8
 }
 
 type stimNode struct {
@@ -115,6 +129,7 @@ type sinkNode struct {
 type fsmTrans struct {
 	cond fsmsim.Cond
 	next int
+	diff []int // declared outputs whose values differ between the two states
 }
 
 // fsmState precomputes one state's Moore outputs over the declared
@@ -152,9 +167,14 @@ type Program struct {
 	initial    int
 	ctlSlots   []int // per declared FSM output, in declaration order
 	statusSlot map[string]int
-	done       int // ctl slot of the "done" output, -1 when undeclared
+	fsmIns     []int // status slots of the declared FSM inputs (guard operands)
+	done       int   // ctl slot of the "done" output, -1 when undeclared
 
 	memByRef map[string]int
+
+	// perEdge is the reactions one armed lane performs per clock edge:
+	// every sequential element, the FSM and every combinational node.
+	perEdge uint64
 }
 
 // Name returns the datapath name the program was compiled from.
@@ -236,7 +256,8 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 	}
 	slotOf := map[string]int{} // producer endpoint -> slot
 	addSlot := func(name string, width int) int {
-		p.slots = append(p.slots, slotInfo{name: name, width: width})
+		mask, shift := maskShift(width)
+		p.slots = append(p.slots, slotInfo{name: name, width: width, mask: mask, shift: shift})
 		return len(p.slots) - 1
 	}
 
@@ -453,6 +474,9 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 		if _, ok := p.statusSlot[in.Name]; !ok {
 			return nil, fmt.Errorf("cycle: %s: FSM input %q has no datapath status", dp.Name, in.Name)
 		}
+		if !known[in.Name] {
+			p.fsmIns = append(p.fsmIns, p.statusSlot[in.Name])
+		}
 		known[in.Name] = true
 	}
 	for _, out := range fsm.Outputs {
@@ -484,14 +508,60 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			p.initial = len(p.states) - 1
 		}
 	}
+	for m := range p.mems {
+		p.mems[m].mask, p.mems[m].shift = maskShift(p.mems[m].width)
+	}
+	for s := range p.states {
+		for t := range p.states[s].trans {
+			tr := &p.states[s].trans[t]
+			from, to := p.states[s].outs, p.states[tr.next].outs
+			for o := range from {
+				if from[o] != to[o] {
+					tr.diff = append(tr.diff, o)
+				}
+			}
+		}
+	}
 	if d, ok := ctlSlot["done"]; ok {
 		p.done = d
 	}
 
+	p.bindDeps()
 	if err := p.levelize(); err != nil {
 		return nil, err
 	}
+	p.perEdge = uint64(len(p.regs) + 1 + len(p.rams) + len(p.stims) + len(p.sinks) + len(p.comb))
 	return p, nil
+}
+
+// bindDeps records each element's input slots: the edges levelize
+// orders by, and the change stamps an Instance checks before
+// re-evaluating the element.
+func (p *Program) bindDeps() {
+	for i := range p.comb {
+		n := &p.comb[i]
+		switch n.kind {
+		case combUnary, combMemRead:
+			n.deps = []int{n.a}
+		case combBinary:
+			n.deps = []int{n.a, n.b}
+		default: // combMux
+			n.deps = append(append([]int(nil), n.ins...), n.sel)
+		}
+	}
+	for r := range p.regs {
+		rg := &p.regs[r]
+		rg.deps = []int{rg.d}
+		for _, s := range []int{rg.en, rg.rst} {
+			if s >= 0 {
+				rg.deps = append(rg.deps, s)
+			}
+		}
+	}
+	for m := range p.rams {
+		rn := &p.rams[m]
+		rn.deps = []int{rn.we, rn.addr, rn.din}
+	}
 }
 
 // levelize topologically sorts the combinational nodes (Kahn's
@@ -505,20 +575,10 @@ func (p *Program) levelize() error {
 	for i := range p.comb {
 		prodBy[p.comb[i].y] = i
 	}
-	nodeInputs := func(n *combNode) []int {
-		switch n.kind {
-		case combUnary, combMemRead:
-			return []int{n.a}
-		case combBinary:
-			return []int{n.a, n.b}
-		default: // combMux
-			return append(append([]int(nil), n.ins...), n.sel)
-		}
-	}
 	indeg := make([]int, len(p.comb))
 	succs := make([][]int, len(p.comb))
 	for i := range p.comb {
-		for _, s := range nodeInputs(&p.comb[i]) {
+		for _, s := range p.comb[i].deps {
 			if j, ok := prodBy[s]; ok {
 				succs[j] = append(succs[j], i)
 				indeg[i]++

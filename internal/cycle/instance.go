@@ -18,6 +18,19 @@ type Sample struct {
 // state is struct-of-arrays indexed slot-major (slot*lanes+lane), so a
 // gang of lanes evaluates each node over a contiguous stripe. An
 // Instance is not safe for concurrent use; the controller serializes.
+//
+// Evaluation is change-driven. Every slot change is stamped with the
+// number of the clock edge that made it, one stamp per slot over all
+// lanes (a gang's lanes move in lockstep, so finer stamps cost more
+// than they skip). A combinational node none of whose inputs carries
+// the current edge's stamp, and a register or RAM port none of whose
+// inputs carries the previous edge's, would recompute what its output
+// already holds, so its whole stripe is skipped; the FSM skips per lane
+// when its state and its guard operands are unchanged. Edge numbers
+// only grow, so a stale stamp never reads as current, and the first
+// edge after a Reset evaluates everything. A memory read needs no write
+// stamp: a RAM writes only at the address its port reads, and the port
+// itself republishes that word.
 type Instance struct {
 	p     *Program
 	lanes int
@@ -25,7 +38,11 @@ type Instance struct {
 	vals  []uint64 // slot-major value planes
 	valid []bool
 
-	mems    [][]uint64 // per memSpec, lane-major: mem[lane*depth+addr]
+	slotChg []uint64 // per slot: edge of the last change in any lane
+	edge    uint64   // number of the current (or last) clock edge
+	full    bool     // set by Reset: the next edge evaluates everything
+
+	mems    [][]uint64 // per memSpec, address-major: mem[addr*lanes+lane]
 	stimVec [][]int64  // per (stim, lane): private copy of the vector
 	stimPos []int
 	sinkRec [][]int64 // per (sink, lane)
@@ -35,7 +52,8 @@ type Instance struct {
 	endTime   []hades.Time
 	completed []bool
 	armed     []bool
-	doneWas   []bool // pre-publish done level, for transition detection
+	stateChg  []uint64 // per lane: edge of the last FSM state change
+	doneChg   []uint64 // per lane: edge of the last change of done
 
 	// per-run counters (rewound by Reset) and the lifetime reset count,
 	// mirroring the hades.Stats split.
@@ -48,14 +66,10 @@ type Instance struct {
 	// slot values and parks results here; publish() then applies them,
 	// which is what makes register chains and RAM read-after-write match
 	// the event kernel's next-delta Set semantics.
-	regNext     []int64
-	regSet      []bool
-	ramNext     []int64
-	ramSet      []bool
-	stimOut     []int64
-	stimOutSet  []bool
-	stimLast    []int64
-	stimLastSet []bool
+	pend  []pendSet   // register, RAM read-port and stimulus updates
+	taken []*fsmTrans // per lane: state-changing transition taken, or nil
+
+	env laneEnv // reused guard environment, so no per-lane boxing
 
 	traceOn bool
 	traces  [][][]Sample // per lane, per cycle: one Sample per slot
@@ -67,9 +81,11 @@ func (p *Program) NewInstance(lanes int) *Instance {
 		lanes = 1
 	}
 	in := &Instance{p: p, lanes: lanes}
+	in.env.in = in
 	n := len(p.slots) * lanes
 	in.vals = make([]uint64, n)
 	in.valid = make([]bool, n)
+	in.slotChg = make([]uint64, len(p.slots))
 	in.mems = make([][]uint64, len(p.mems))
 	for m := range p.mems {
 		in.mems[m] = make([]uint64, p.mems[m].depth*lanes)
@@ -82,19 +98,14 @@ func (p *Program) NewInstance(lanes int) *Instance {
 	in.endTime = make([]hades.Time, lanes)
 	in.completed = make([]bool, lanes)
 	in.armed = make([]bool, lanes)
-	in.doneWas = make([]bool, lanes)
+	in.stateChg = make([]uint64, lanes)
+	in.doneChg = make([]uint64, lanes)
 	in.events = make([]uint64, lanes)
 	in.reactions = make([]uint64, lanes)
 	in.instants = make([]uint64, lanes)
 	in.resets = make([]uint64, lanes)
-	in.regNext = make([]int64, len(p.regs)*lanes)
-	in.regSet = make([]bool, len(p.regs)*lanes)
-	in.ramNext = make([]int64, len(p.rams)*lanes)
-	in.ramSet = make([]bool, len(p.rams)*lanes)
-	in.stimOut = make([]int64, len(p.stims)*lanes)
-	in.stimOutSet = make([]bool, len(p.stims)*lanes)
-	in.stimLast = make([]int64, len(p.stims)*lanes)
-	in.stimLastSet = make([]bool, len(p.stims)*lanes)
+	in.pend = make([]pendSet, 0, (len(p.regs)+len(p.rams)+2*len(p.stims))*lanes)
+	in.taken = make([]*fsmTrans, lanes)
 	in.traces = make([][][]Sample, lanes)
 	return in
 }
@@ -119,19 +130,23 @@ func (in *Instance) validAt(slot, lane int) bool  { return in.valid[slot*in.lane
 func (in *Instance) uintAt(slot, lane int) uint64 { return in.vals[slot*in.lanes+lane] }
 func (in *Instance) boolAt(slot, lane int) bool   { return in.vals[slot*in.lanes+lane]&1 == 1 }
 func (in *Instance) intAt(slot, lane int) int64 {
-	return hades.SignExtend(in.vals[slot*in.lanes+lane], in.p.slots[slot].width)
+	sh := in.p.slots[slot].shift
+	return int64(in.vals[slot*in.lanes+lane]<<sh) >> sh
 }
 
 // set publishes a value into a slot, masked to the slot width; a change
 // of value or definedness counts one event, like the kernel's batch
-// apply.
-func (in *Instance) set(slot, lane int, v int64) {
+// apply, stamps the slot with the current edge and reports true.
+func (in *Instance) set(slot, lane int, v int64) bool {
 	i := slot*in.lanes + lane
-	m := hades.Mask(uint64(v), in.p.slots[slot].width)
-	if !in.valid[i] || in.vals[i] != m {
-		in.vals[i], in.valid[i] = m, true
-		in.events[lane]++
+	m := uint64(v) & in.p.slots[slot].mask
+	if in.valid[i] && in.vals[i] == m {
+		return false
 	}
+	in.vals[i], in.valid[i] = m, true
+	in.events[lane]++
+	in.slotChg[slot] = in.edge
+	return true
 }
 
 // laneEnv adapts one lane's status slots to the fsmsim guard Env.
@@ -141,7 +156,7 @@ type laneEnv struct {
 }
 
 // Truth is true when the named status is defined and non-zero.
-func (e laneEnv) Truth(name string) bool {
+func (e *laneEnv) Truth(name string) bool {
 	s, ok := e.in.p.statusSlot[name]
 	if !ok {
 		return false
@@ -173,7 +188,6 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	}
 	for r := range in.p.regs {
 		in.set(in.p.regs[r].q, lane, in.p.regs[r].init)
-		in.regSet[r*L+lane] = false
 	}
 	in.state[lane] = in.p.initial
 	st := &in.p.states[in.p.initial]
@@ -182,21 +196,18 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	}
 	for m := range in.p.mems {
 		ms := &in.p.mems[m]
-		mem := in.mems[m][lane*ms.depth : (lane+1)*ms.depth]
+		mem := in.mems[m]
 		words, ok := init[ms.id]
 		if !ok {
 			words = ms.init
 		}
-		for i := range mem {
-			if i < len(words) {
-				mem[i] = hades.Mask(uint64(words[i]), ms.width)
-			} else {
-				mem[i] = 0
+		for a := 0; a < ms.depth; a++ {
+			var w uint64
+			if a < len(words) {
+				w = uint64(words[a]) & ms.mask
 			}
+			mem[a*L+lane] = w
 		}
-	}
-	for m := range in.p.rams {
-		in.ramSet[m*L+lane] = false
 	}
 	for s := range in.p.stims {
 		i := s*L + lane
@@ -212,7 +223,6 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 		copy(vec, src)
 		in.stimVec[i] = vec
 		in.stimPos[i] = 0
-		in.stimOutSet[i], in.stimLastSet[i] = false, false
 	}
 	for s := range in.p.sinks {
 		i := s*L + lane
@@ -223,7 +233,11 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	if in.traceOn {
 		in.traces[lane] = in.traces[lane][:0]
 	}
-	in.settleLane(lane)
+	in.full = true
+	in.reactions[lane] += uint64(len(in.p.comb))
+	for i := range in.p.comb {
+		in.evalNode(&in.p.comb[i], lane, lane+1)
+	}
 }
 
 // Run executes every armed lane clock-by-clock. The horizon mirrors the
@@ -242,6 +256,7 @@ func (in *Instance) Run(period hades.Time, maxCycles uint64, interrupt func() bo
 	limit := hades.Time(maxCycles) * period
 	edges := uint64((limit/half + 1) / 2)
 	capEnd := (limit / half) * half
+	perEdge := in.p.perEdge
 	for cyc := uint64(1); cyc <= edges; cyc++ {
 		any := false
 		for l := 0; l < in.lanes; l++ {
@@ -259,24 +274,23 @@ func (in *Instance) Run(period hades.Time, maxCycles uint64, interrupt func() bo
 		if in.traceOn {
 			in.snapshot()
 		}
-		in.phaseA()
-		// Completion is the *transition* of done to 1: the event kernel's
-		// watchdog only reacts to a change, so a done held high from the
-		// initial state never trips it — capture the pre-publish level.
-		if in.p.done >= 0 {
-			for l := 0; l < in.lanes; l++ {
-				in.doneWas[l] = in.doneLevel(l)
-			}
-		}
+		in.edge++
+		full := in.full
+		in.full = false
+		in.phaseA(full)
 		in.publish()
-		in.settleAll()
+		in.settleAll(full)
 		for l := 0; l < in.lanes; l++ {
 			if !in.armed[l] {
 				continue
 			}
 			in.cycles[l] = cyc
 			in.instants[l]++
-			if in.p.done >= 0 && !in.doneWas[l] && in.doneLevel(l) {
+			in.reactions[l] += perEdge
+			// Completion is a *change* of done to 1, the event kernel's
+			// watchdog condition: a done held high from the initial
+			// state never trips it.
+			if in.p.done >= 0 && in.doneChg[l] == in.edge && in.uintAt(in.p.done, l) == 1 {
 				in.completed[l] = true
 				in.endTime[l] = hades.Time(2*(cyc-1))*half + half
 				in.armed[l] = false
@@ -318,83 +332,96 @@ func (in *Instance) snapshot() {
 	}
 }
 
+// pendSet is one deferred slot update.
+type pendSet struct {
+	slot, lane int32
+	val        int64
+}
+
+func (in *Instance) deferSet(slot, lane int, v int64) {
+	in.pend = append(in.pend, pendSet{slot: int32(slot), lane: int32(lane), val: v})
+}
+
 // phaseA evaluates every sequential element against the pre-edge slot
 // values: register sampling, FSM transition, RAM write + read-port
 // refresh, stimulus advance and sink capture. Nothing publishes here —
 // results park in the deferred scratch so every element of the same
 // edge observes the same pre-edge state, exactly like the event
 // kernel's delta-0 reactions.
-func (in *Instance) phaseA() {
+//
+// Unless full, a register, RAM port or FSM whose inputs did not change
+// on the previous edge is skipped: it would redo the previous edge's
+// work and publish values its outputs already hold (a RAM rewriting the
+// word it wrote, an FSM keeping its state).
+func (in *Instance) phaseA(full bool) {
 	L := in.lanes
+	prev := in.edge - 1
 	for r := range in.p.regs {
 		rg := &in.p.regs[r]
+		if !full && in.quiet(rg.deps, prev) {
+			continue
+		}
 		for l := 0; l < L; l++ {
 			if !in.armed[l] {
 				continue
 			}
-			in.reactions[l]++
-			i := r*L + l
 			if rg.rst >= 0 && in.boolAt(rg.rst, l) {
-				in.regNext[i], in.regSet[i] = rg.init, true
+				in.deferSet(rg.q, l, rg.init)
 				continue
 			}
 			if rg.en >= 0 && !in.boolAt(rg.en, l) {
 				continue
 			}
 			if in.validAt(rg.d, l) {
-				in.regNext[i], in.regSet[i] = in.intAt(rg.d, l), true
+				in.deferSet(rg.q, l, in.intAt(rg.d, l))
 			}
 		}
 	}
+	insQuiet := !full && in.quiet(in.p.fsmIns, prev)
 	for l := 0; l < L; l++ {
-		if !in.armed[l] {
+		in.taken[l] = nil
+		if !in.armed[l] || insQuiet && in.stateChg[l] != prev {
 			continue
 		}
-		in.reactions[l]++
-		st := &in.p.states[in.state[l]]
-		env := laneEnv{in: in, lane: l}
-		for _, tr := range st.trans {
-			if tr.cond.Eval(env) {
-				in.state[l] = tr.next
-				break
-			}
+		if tr := in.transition(l); tr != nil && tr.next != in.state[l] {
+			in.state[l], in.stateChg[l] = tr.next, in.edge
+			in.taken[l] = tr
 		}
 	}
 	for m := range in.p.rams {
 		rn := &in.p.rams[m]
+		if !full && in.quiet(rn.deps, prev) {
+			continue
+		}
 		ms := &in.p.mems[rn.mem]
 		mem := in.mems[rn.mem]
 		for l := 0; l < L; l++ {
-			if !in.armed[l] {
+			if !in.armed[l] || !in.validAt(rn.addr, l) {
 				continue
 			}
-			in.reactions[l]++
-			if in.boolAt(rn.we, l) && in.validAt(rn.addr, l) && in.validAt(rn.din, l) {
-				if a := int(in.uintAt(rn.addr, l)); a < ms.depth {
-					mem[l*ms.depth+a] = hades.Mask(in.uintAt(rn.din, l), ms.width)
-				}
+			a := int(in.uintAt(rn.addr, l))
+			if a >= ms.depth {
+				continue
+			}
+			w := &mem[a*L+l]
+			if in.boolAt(rn.we, l) && in.validAt(rn.din, l) {
+				*w = in.uintAt(rn.din, l) & ms.mask
 			}
 			// Read-port refresh from the pre-edge address over the
 			// post-write contents (the event RAM does both in one React).
-			if in.validAt(rn.addr, l) {
-				if a := int(in.uintAt(rn.addr, l)); a < ms.depth {
-					i := m*L + l
-					in.ramNext[i] = hades.SignExtend(mem[l*ms.depth+a], ms.width)
-					in.ramSet[i] = true
-				}
-			}
+			in.deferSet(rn.dout, l, int64(*w<<ms.shift)>>ms.shift)
 		}
 	}
 	for s := range in.p.stims {
+		sn := &in.p.stims[s]
 		for l := 0; l < L; l++ {
 			if !in.armed[l] {
 				continue
 			}
-			in.reactions[l]++
 			i := s*L + l
 			vec := in.stimVec[i]
 			if len(vec) == 0 {
-				in.stimLast[i], in.stimLastSet[i] = 1, true
+				in.deferSet(sn.last, l, 1)
 				continue
 			}
 			pos := in.stimPos[i]
@@ -402,13 +429,12 @@ func (in *Instance) phaseA() {
 			if idx >= len(vec) {
 				idx = len(vec) - 1
 			}
-			in.stimOut[i], in.stimOutSet[i] = vec[idx], true
+			in.deferSet(sn.out, l, vec[idx])
+			var last int64
 			if pos >= len(vec)-1 {
-				in.stimLast[i] = 1
-			} else {
-				in.stimLast[i] = 0
+				last = 1
 			}
-			in.stimLastSet[i] = true
+			in.deferSet(sn.last, l, last)
 			if pos < len(vec) {
 				in.stimPos[i] = pos + 1
 			}
@@ -420,7 +446,6 @@ func (in *Instance) phaseA() {
 			if !in.armed[l] {
 				continue
 			}
-			in.reactions[l]++
 			if sn.en >= 0 && !in.boolAt(sn.en, l) {
 				continue
 			}
@@ -432,109 +457,107 @@ func (in *Instance) phaseA() {
 	}
 }
 
-// publish applies the deferred phase-A results to the slots.
-func (in *Instance) publish() {
-	L := in.lanes
-	for r := range in.p.regs {
-		rg := &in.p.regs[r]
-		for l := 0; l < L; l++ {
-			i := r*L + l
-			if in.regSet[i] {
-				in.set(rg.q, l, in.regNext[i])
-				in.regSet[i] = false
-			}
+// quiet reports whether none of the slots changed at the given edge in
+// any lane.
+func (in *Instance) quiet(slots []int, edge uint64) bool {
+	for _, s := range slots {
+		if in.slotChg[s] == edge {
+			return false
 		}
 	}
-	for l := 0; l < L; l++ {
-		if !in.armed[l] {
+	return true
+}
+
+// transition returns the first transition of a lane's current state
+// whose guard holds, or nil.
+func (in *Instance) transition(l int) *fsmTrans {
+	st := &in.p.states[in.state[l]]
+	in.env.lane = l
+	for t := range st.trans {
+		if st.trans[t].cond.Eval(&in.env) {
+			return &st.trans[t]
+		}
+	}
+	return nil
+}
+
+// publish applies the deferred phase-A results to the slots. The FSM
+// republishes only the outputs its transition changes: every other
+// control slot already holds the value the new state asserts.
+func (in *Instance) publish() {
+	for _, ps := range in.pend {
+		in.set(int(ps.slot), int(ps.lane), ps.val)
+	}
+	in.pend = in.pend[:0]
+	for l, tr := range in.taken {
+		if tr == nil {
 			continue
 		}
-		st := &in.p.states[in.state[l]]
-		for o, slot := range in.p.ctlSlots {
-			in.set(slot, l, st.outs[o])
-		}
-	}
-	for m := range in.p.rams {
-		rn := &in.p.rams[m]
-		for l := 0; l < L; l++ {
-			i := m*L + l
-			if in.ramSet[i] {
-				in.set(rn.dout, l, in.ramNext[i])
-				in.ramSet[i] = false
-			}
-		}
-	}
-	for s := range in.p.stims {
-		sn := &in.p.stims[s]
-		for l := 0; l < L; l++ {
-			i := s*L + l
-			if in.stimOutSet[i] {
-				in.set(sn.out, l, in.stimOut[i])
-				in.stimOutSet[i] = false
-			}
-			if in.stimLastSet[i] {
-				in.set(sn.last, l, in.stimLast[i])
-				in.stimLastSet[i] = false
+		outs := in.p.states[tr.next].outs
+		for _, o := range tr.diff {
+			if slot := in.p.ctlSlots[o]; in.set(slot, l, outs[o]) && slot == in.p.done {
+				in.doneChg[l] = in.edge
 			}
 		}
 	}
 }
 
-// evalNode evaluates one combinational node for one lane, with the
-// event operators' hold-on-undefined semantics: a node whose inputs are
-// not all defined (or whose select/address is out of range) keeps its
-// previous output.
-func (in *Instance) evalNode(n *combNode, l int) {
-	in.reactions[l]++
+// evalNode evaluates one combinational node for the armed lanes in
+// [lo, hi), with the event operators' hold-on-undefined semantics: a
+// lane whose node inputs are not all defined (or whose select/address
+// is out of range) keeps its previous output. Each kind runs its own
+// lane loop over the input stripes.
+func (in *Instance) evalNode(n *combNode, lo, hi int) {
+	L := in.lanes
 	switch n.kind {
 	case combUnary:
-		if in.validAt(n.a, l) {
-			in.set(n.y, l, n.un(in.intAt(n.a, l), n.width))
+		a, sa := n.a*L, in.p.slots[n.a].shift
+		for l := lo; l < hi; l++ {
+			if in.armed[l] && in.valid[a+l] {
+				in.set(n.y, l, n.un(int64(in.vals[a+l]<<sa)>>sa, n.width))
+			}
 		}
 	case combBinary:
-		if in.validAt(n.a, l) && in.validAt(n.b, l) {
-			in.set(n.y, l, n.bin(in.intAt(n.a, l), in.intAt(n.b, l), n.width))
+		a, sa := n.a*L, in.p.slots[n.a].shift
+		b, sb := n.b*L, in.p.slots[n.b].shift
+		for l := lo; l < hi; l++ {
+			if in.armed[l] && in.valid[a+l] && in.valid[b+l] {
+				in.set(n.y, l, n.bin(int64(in.vals[a+l]<<sa)>>sa, int64(in.vals[b+l]<<sb)>>sb, n.width))
+			}
 		}
 	case combMux:
-		if !in.validAt(n.sel, l) {
-			return
-		}
-		idx := int(in.uintAt(n.sel, l))
-		if idx < 0 || idx >= len(n.ins) {
-			return
-		}
-		src := n.ins[idx]
-		if in.validAt(src, l) {
-			in.set(n.y, l, in.intAt(src, l))
+		sel := n.sel * L
+		for l := lo; l < hi; l++ {
+			if !in.armed[l] || !in.valid[sel+l] {
+				continue
+			}
+			if idx := in.vals[sel+l]; idx < uint64(len(n.ins)) {
+				if src := n.ins[idx]; in.validAt(src, l) {
+					in.set(n.y, l, in.intAt(src, l))
+				}
+			}
 		}
 	case combMemRead:
-		if !in.validAt(n.a, l) {
-			return
-		}
-		ms := &in.p.mems[n.mem]
-		if a := int(in.uintAt(n.a, l)); a < ms.depth {
-			in.set(n.y, l, hades.SignExtend(in.mems[n.mem][l*ms.depth+a], ms.width))
+		a, ms, mem := n.a*L, &in.p.mems[n.mem], in.mems[n.mem]
+		for l := lo; l < hi; l++ {
+			if !in.armed[l] || !in.valid[a+l] {
+				continue
+			}
+			if addr := in.vals[a+l]; addr < uint64(ms.depth) {
+				in.set(n.y, l, int64(mem[int(addr)*L+l]<<ms.shift)>>ms.shift)
+			}
 		}
 	}
 }
 
 // settleAll runs the levelized combinational pass for every armed lane.
-// One pass in topological order reaches the delta-cascade fixpoint.
-func (in *Instance) settleAll() {
+// One pass in topological order reaches the delta-cascade fixpoint;
+// unless full, only nodes with an input changed on this edge evaluate.
+func (in *Instance) settleAll(full bool) {
 	for i := range in.p.comb {
-		n := &in.p.comb[i]
-		for l := 0; l < in.lanes; l++ {
-			if in.armed[l] {
-				in.evalNode(n, l)
-			}
+		if n := &in.p.comb[i]; full || !in.quiet(n.deps, in.edge) {
+			in.evalNode(n, 0, in.lanes)
 		}
-	}
-}
-
-// settleLane is settleAll for a single lane (the Reset settle pass).
-func (in *Instance) settleLane(l int) {
-	for i := range in.p.comb {
-		in.evalNode(&in.p.comb[i], l)
 	}
 }
 
@@ -583,13 +606,13 @@ func (in *Instance) CopyShared(lane int, ref string, dst []int64) bool {
 		return false
 	}
 	ms := &in.p.mems[m]
-	mem := in.mems[m][lane*ms.depth : (lane+1)*ms.depth]
+	mem := in.mems[m]
 	n := ms.depth
 	if len(dst) < n {
 		n = len(dst)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = hades.SignExtend(mem[i], ms.width)
+	for a := 0; a < n; a++ {
+		dst[a] = int64(mem[a*in.lanes+lane]<<ms.shift) >> ms.shift
 	}
 	return true
 }

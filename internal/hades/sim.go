@@ -92,10 +92,9 @@ type Simulator struct {
 	// the goroutine that owns the kernel.
 	Interrupt func() bool
 
-	pending map[Reactor]bool // reactors to run this delta
-	order   []Reactor
-	ids     map[Reactor]int // ordering ids for reactors without their own
-	nextID  int
+	order  []wake          // this delta's wake list, one entry per wake
+	ids    map[Reactor]int // ordering ids for reactors without their own
+	nextID int
 
 	mark simMark // structural baseline Reset rewinds to (see Mark)
 }
@@ -138,7 +137,6 @@ func newSimulator(q kernelQueue, kernel string) *Simulator {
 		q:         q,
 		kernel:    kernel,
 		MaxDeltas: 10000,
-		pending:   make(map[Reactor]bool),
 		ids:       make(map[Reactor]int),
 	}
 }
@@ -207,9 +205,6 @@ func (s *Simulator) Reset() {
 	s.q.reset()
 	s.now, s.delta, s.seq = 0, 0, 0
 	s.stopped, s.stopWhy = false, ""
-	for k := range s.pending {
-		delete(s.pending, k)
-	}
 	s.order = s.order[:0]
 	if s.mark.valid {
 		for _, sig := range s.signals[s.mark.signals:] {
@@ -340,10 +335,8 @@ func (s *Simulator) Run(limit Time) (Time, error) {
 func (s *Simulator) runBatch(head *event) {
 	s.stats.Deltas++
 
-	// Phase 1: apply all signal updates of this (time, delta).
-	for k := range s.pending {
-		delete(s.pending, k) // leftovers only after a mid-batch stop
-	}
+	// Phase 1: apply all signal updates of this (time, delta), waking
+	// the listeners of every signal that changed.
 	s.order = s.order[:0]
 	for e := head; e != nil; {
 		s.stats.Events++
@@ -364,38 +357,68 @@ func (s *Simulator) runBatch(head *event) {
 
 	// Phase 2: evaluate affected reactors deterministically.
 	s.sortOrder()
-	for _, r := range s.order {
-		delete(s.pending, r)
+	for _, w := range s.order {
 		s.stats.Reactions++
-		r.React(s)
+		w.r.React(s)
 		if s.stopped {
 			break
 		}
 	}
 }
 
-func (s *Simulator) schedule(r Reactor) {
-	if !s.pending[r] {
-		s.pending[r] = true
-		s.order = append(s.order, r)
-	}
+// wake is one wake-list entry: a reactor woken by a changed signal,
+// with its ordering id resolved once at wake time.
+type wake struct {
+	r  Reactor
+	id int
 }
 
-// sortOrder sorts the pending reactors by id. Batches are small and
-// listeners mostly fire in creation order already, so an insertion sort
-// beats sort.Slice here and — unlike sort.Slice — does not allocate,
-// keeping the steady-state event path allocation-free.
+// schedule appends one wake. A reactor listening on several signals
+// that change in the same delta appears once per change; sortOrder
+// folds the repeats.
+func (s *Simulator) schedule(r Reactor) {
+	s.order = append(s.order, wake{r: r, id: s.reactorID(r)})
+}
+
+// sortOrder sorts the wake list by id and drops repeat wakes, leaving
+// each woken reactor once. Batches are small and listeners mostly fire
+// in creation order already, so an insertion sort beats sort.Slice here
+// and — unlike sort.Slice — does not allocate, keeping the steady-state
+// event path allocation-free. The sort is stable, so within a run of
+// equal ids the first wake of each reactor comes first; keeping only
+// that one orders distinct reactors sharing an id by first wake.
 func (s *Simulator) sortOrder() {
-	for i := 1; i < len(s.order); i++ {
-		r := s.order[i]
-		id := s.reactorID(r)
+	o := s.order
+	for i := 1; i < len(o); i++ {
+		w := o[i]
 		j := i - 1
-		for j >= 0 && s.reactorID(s.order[j]) > id {
-			s.order[j+1] = s.order[j]
+		for j >= 0 && o[j].id > w.id {
+			o[j+1] = o[j]
 			j--
 		}
-		s.order[j+1] = r
+		o[j+1] = w
 	}
+	n, run := 0, 0 // run: start of the current equal-id run in o[:n]
+	for _, w := range o {
+		if n > 0 && o[n-1].id != w.id {
+			run = n
+		}
+		if !woken(o[run:n], w.r) {
+			o[n] = w
+			n++
+		}
+	}
+	s.order = o[:n]
+}
+
+// woken reports whether r already appears in a run of equal-id wakes.
+func woken(run []wake, r Reactor) bool {
+	for _, w := range run {
+		if w.r == r {
+			return true
+		}
+	}
+	return false
 }
 
 // identified is implemented by reactors that carry a stable ordering id.
