@@ -4,13 +4,19 @@
 
 GO ?= go
 
-.PHONY: build test quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go perfbench-test cover lint linkcheck fmt fmt-check vet ci
+.PHONY: build test table1 quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go perfbench-test cover lint linkcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# table1 mirrors the CI Table I step: the only path that marshals every
+# family's design to XML and renders its FSMs through the FSM→Java
+# stylesheet (Compile does neither; Compiled.TableI does both).
+table1:
+	$(GO) run ./cmd/testsuite -table1 -pixels 1024 -words 16 -j 4
 
 # quickstart builds and runs the documented public-API entry point
 # (examples/quickstart on the root repro package), so the README's
@@ -83,10 +89,11 @@ bench-update:
 	done
 
 # bench-go runs the go-test benchmarks (Table I rows, kernel two-level
-# vs heap reference) once each.
+# vs heap reference, compile stage vs Table I line counts) once each.
 bench-go:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkKernel' -benchtime 0.2s ./internal/hades/
+	$(GO) test -run XXX -bench 'BenchmarkCompile|BenchmarkTableI' -benchtime 1x ./internal/flow/
 
 # perfbench-test mirrors the CI perfbench step: vet and race-test the
 # end-to-end benchmark's nested module (perfbench/, outside ./...), then
@@ -125,4 +132,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint test quickstart smoke scenario-smoke sweep-smoke sweep-chaos race perfbench-test cover bench
+ci: build vet fmt-check lint test table1 quickstart smoke scenario-smoke sweep-smoke sweep-chaos race perfbench-test cover bench

@@ -211,14 +211,18 @@ func RunCaseRepeatContext(ctx context.Context, tc TestCase, opts Options, reps i
 	c := d.Compiled()
 	res.SourceLoC = c.SourceLoC
 	res.TotalOps = c.TotalOps
-	for _, pi := range c.Partitions {
+	rows, err := c.TableI()
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
 		res.Partitions = append(res.Partitions, PartitionStats{
-			ID:             pi.ID,
-			Operators:      pi.Operators,
-			States:         pi.States,
-			XMLDatapathLoC: pi.XMLDatapathLoC,
-			XMLFSMLoC:      pi.XMLFSMLoC,
-			JavaFSMLoC:     pi.JavaFSMLoC,
+			ID:             row.ID,
+			Operators:      row.Operators,
+			States:         row.States,
+			XMLDatapathLoC: row.XMLDatapathLoC,
+			XMLFSMLoC:      row.XMLFSMLoC,
+			JavaFSMLoC:     row.JavaFSMLoC,
 		})
 	}
 	for label, path := range c.Artifacts {

@@ -37,21 +37,26 @@ func (s Source) name() string {
 	return s.Func
 }
 
-// PartitionInfo reports one compiled configuration's size — the
-// Table I columns.
+// PartitionInfo is one compiled configuration's names and sizes.
 type PartitionInfo struct {
-	ID             string
-	Datapath       string
-	FSM            string
-	Operators      int
-	States         int
+	ID        string
+	Datapath  string
+	FSM       string
+	Operators int
+	States    int
+}
+
+// TableIRow is one configuration's Table I row: its PartitionInfo plus
+// the line counts of its datapath XML, FSM XML and FSM→Java rendering.
+type TableIRow struct {
+	PartitionInfo
 	XMLDatapathLoC int
 	XMLFSMLoC      int
 	JavaFSMLoC     int
 }
 
-// Compiled is the result of the compile stage: the design in the three
-// XML dialects plus its size metadata and any written artifacts.
+// Compiled is the result of the compile stage: the design, its
+// per-partition names and sizes, and any written artifacts.
 type Compiled struct {
 	Source     Source
 	Design     *xmlspec.Design
@@ -62,10 +67,37 @@ type Compiled struct {
 	Artifacts  map[string]string // label -> path (when WorkDir set)
 }
 
-// Compile parses and compiles the source into its design, computes the
-// per-partition size metrics, and — when a WorkDir is configured —
-// writes the XML bundle, the initial memory files and (with
-// WithArtifacts) the dot/java/hds translations.
+// TableI computes the Table I rows: it marshals each partition's
+// datapath and FSM and renders the FSM to Java to count their lines.
+func (c *Compiled) TableI() ([]TableIRow, error) {
+	rows := make([]TableIRow, 0, len(c.Partitions))
+	for _, pi := range c.Partitions {
+		dpDoc, err := xmlspec.Marshal(c.Design.Datapaths[pi.Datapath])
+		if err != nil {
+			return nil, err
+		}
+		fsmDoc, err := xmlspec.Marshal(c.Design.FSMs[pi.FSM])
+		if err != nil {
+			return nil, err
+		}
+		javaOut, err := xsl.TransformBytes(xsl.FSMToJava(), fsmDoc)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, TableIRow{
+			PartitionInfo:  pi,
+			XMLDatapathLoC: xmlspec.LineCount(dpDoc),
+			XMLFSMLoC:      xmlspec.LineCount(fsmDoc),
+			JavaFSMLoC:     countLines(javaOut),
+		})
+	}
+	return rows, nil
+}
+
+// Compile parses and compiles the source into its design and, when a
+// WorkDir is configured, writes the XML bundle, the initial memory
+// files and (with WithArtifacts) the dot/java/hds translations. The
+// Table I line counts are left to TableI.
 func (p *Pipeline) Compile(src Source) (*Compiled, error) {
 	out := &Compiled{Source: src, Artifacts: map[string]string{}}
 	err := p.observeStage(StageCompile, src.name(), func() error {
@@ -89,28 +121,7 @@ func (p *Pipeline) Compile(src Source) (*Compiled, error) {
 		out.Design = comp.Design
 		out.Func = comp.Func
 		for _, meta := range comp.Meta {
-			dpDoc, err := xmlspec.Marshal(comp.Design.Datapaths[meta.Datapath])
-			if err != nil {
-				return err
-			}
-			fsmDoc, err := xmlspec.Marshal(comp.Design.FSMs[meta.FSM])
-			if err != nil {
-				return err
-			}
-			javaOut, err := xsl.TransformBytes(xsl.FSMToJava(), fsmDoc)
-			if err != nil {
-				return err
-			}
-			out.Partitions = append(out.Partitions, PartitionInfo{
-				ID:             meta.ID,
-				Datapath:       meta.Datapath,
-				FSM:            meta.FSM,
-				Operators:      meta.Operators,
-				States:         meta.States,
-				XMLDatapathLoC: xmlspec.LineCount(dpDoc),
-				XMLFSMLoC:      xmlspec.LineCount(fsmDoc),
-				JavaFSMLoC:     countLines(javaOut),
-			})
+			out.Partitions = append(out.Partitions, PartitionInfo(meta))
 			out.TotalOps += meta.Operators
 		}
 		if p.cfg.WorkDir == "" {

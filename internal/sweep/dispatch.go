@@ -25,8 +25,8 @@ import (
 //     shard.
 //   - Each endpoint carries a circuit breaker (epHealth): consecutive
 //     failures open it, an open endpoint parks instead of taking work,
-//     and after a cooldown a single half-open probe shard decides
-//     whether it closes again.
+//     and after a cooldown a single half-open probe shard (a hedge
+//     when nothing is pending) decides whether it closes again.
 //   - A running shard whose age exceeds max(HedgeMin, HedgeFactor ×
 //     fleet latency EWMA) may be hedged: re-dispatched to a different
 //     healthy endpoint. Hedge attempts write to a side path and the
@@ -216,14 +216,21 @@ func (d *dispatcher) slotLoop(ep *epHealth) {
 				d.cond.Wait()
 				continue
 			}
-			t := d.takePending(ep.index, now, false)
+			// The probe is a pending shard or, with none pending, a
+			// hedge: an endpoint that only probed pending work could
+			// never close again once the queue drained, and a straggler
+			// only it may hedge would hang the pass.
+			t, hedge := d.takePending(ep.index, now, false), false
+			if t == nil {
+				t, hedge = d.takeHedge(ep.index, now), true
+			}
 			if t == nil {
 				d.waitTimed(ep.index, now)
 				continue
 			}
 			ep.probing = true
 			ep.probes++
-			at = d.newAttempt(t, ep.index, false, true)
+			at = d.newAttempt(t, ep.index, hedge, true)
 		default: // closed
 			if t := d.takePending(ep.index, now, false); t != nil {
 				at = d.newAttempt(t, ep.index, false, false)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,59 @@ func (*crashWorker) RunShard(ctx context.Context, c *sweep.Campaign, sh sweep.Sh
 	return errors.New("synthetic: worker crashed")
 }
 
+// signal is a one-shot event a test can fire from any goroutine.
+type signal struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newSignal() *signal { return &signal{ch: make(chan struct{})} }
+func (s *signal) fire()  { s.once.Do(func() { close(s.ch) }) }
+
+// fleetWorker is one endpoint of the chaos fleet. It fires accepted
+// when a shard first reaches it and failed when one first fails, and
+// holds every shard until all of its gates have fired. A held shard is
+// written beside path and renamed over it only when complete, so an
+// attempt that lost to a hedge while held never truncates the
+// winner's file.
+type fleetWorker struct {
+	sweep.Worker
+	gates            []*signal
+	accepted, failed *signal
+}
+
+func newFleetWorker(inj *sweep.Injector, gates ...*signal) *fleetWorker {
+	return &fleetWorker{Worker: &sweep.LocalWorker{Injector: inj}, gates: gates, accepted: newSignal(), failed: newSignal()}
+}
+
+func (w *fleetWorker) RunShard(ctx context.Context, c *sweep.Campaign, sh sweep.Shard, path string) error {
+	w.accepted.fire()
+	err := w.run(ctx, c, sh, path)
+	if err != nil {
+		w.failed.fire()
+	}
+	return err
+}
+
+func (w *fleetWorker) run(ctx context.Context, c *sweep.Campaign, sh sweep.Shard, path string) error {
+	if len(w.gates) == 0 {
+		return w.Worker.RunShard(ctx, c, sh, path)
+	}
+	for _, g := range w.gates {
+		select {
+		case <-g.ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	tmp := path + ".held"
+	if err := w.Worker.RunShard(ctx, c, sh, tmp); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // TestChaosMatrixFleet is the acceptance scenario: a 3-endpoint fleet
 // with one healthy, one flaky (fails twice, then works) and one
 // blackholed worker (accepts shards and hangs) must complete the
@@ -46,7 +101,7 @@ func (*crashWorker) RunShard(ctx context.Context, c *sweep.Campaign, sh sweep.Sh
 // stolen shards, and still merge byte-identically to a single-process
 // run — at every slot count in {1, 2, 4, 8}.
 func TestChaosMatrixFleet(t *testing.T) {
-	spec := scenarioSpec(23, 12)
+	spec := scenarioSpec(23, 32)
 	want := singleProcessBytes(t, spec)
 	var matrixRequeues int
 	for _, slots := range []int{1, 2, 4, 8} {
@@ -56,19 +111,25 @@ func TestChaosMatrixFleet(t *testing.T) {
 			flaky.FlakyTimes = 2
 			hole := sweep.NewInjector()
 			hole.Blackhole = sweep.AnyShard
-			// Pace the healthy endpoint so it cannot drain the whole queue
-			// before the faulty endpoints' slots are even scheduled.
-			pace := sweep.NewInjector()
-			pace.Slow = sweep.AnyShard
-			pace.SlowDelay = 5 * time.Millisecond
-			c := mustLoad(t, sweep.WrapScenario(spec, 6))
+			// Gates make the schedule deterministic. The flaky endpoint
+			// holds its shards until the blackhole has accepted one; the
+			// healthy endpoint holds its own until the flaky endpoint has
+			// failed once too. The two hold at most 2×slots of the 32
+			// shards, so the blackhole always finds one to accept, and
+			// no slot is idle to hedge until every held shard has been
+			// released: only a hedge can win the blackholed shards, and
+			// the flaky failure is stolen by another endpoint.
+			holeW := newFleetWorker(hole)
+			flakyW := newFleetWorker(flaky, holeW.accepted)
+			good := newFleetWorker(nil, holeW.accepted, flakyW.failed)
+			c := mustLoad(t, sweep.WrapScenario(spec, 32))
 			res := runCoordinator(t, c, sweep.Options{
 				OutDir:      t.TempDir(),
 				MaxFailures: 1,
 				Endpoints: []sweep.Endpoint{
-					{Worker: &sweep.LocalWorker{Injector: pace}, Name: "good", Slots: slots},
-					{Worker: &sweep.LocalWorker{Injector: flaky}, Name: "flaky", Slots: slots},
-					{Worker: &sweep.LocalWorker{Injector: hole}, Name: "hole", Slots: slots},
+					{Worker: good, Name: "good", Slots: slots},
+					{Worker: flakyW, Name: "flaky", Slots: slots},
+					{Worker: holeW, Name: "hole", Slots: slots},
 				},
 				HedgeMin:        20 * time.Millisecond,
 				BreakerCooldown: 50 * time.Millisecond,
@@ -80,9 +141,6 @@ func TestChaosMatrixFleet(t *testing.T) {
 			if s.Hedges == 0 || s.HedgesWon == 0 {
 				t.Errorf("hedges=%d won=%d, want blackholed shards rescued by hedging", s.Hedges, s.HedgesWon)
 			}
-			// At high slot counts the healthy endpoint can legitimately
-			// drain the queue before the flaky endpoint's slots wake, so
-			// requeues are asserted across the matrix, not per run.
 			matrixRequeues += s.Requeues
 			if s.Steals == 0 {
 				t.Errorf("steals=0, want requeued shards stolen by healthy endpoints")

@@ -40,6 +40,8 @@ type (
 	Source = flow.Source
 	// Compiled is the compile stage's typed result.
 	Compiled = flow.Compiled
+	// TableIRow is one configuration's Table I row, from Compiled.TableI.
+	TableIRow = flow.TableIRow
 	// Elaborated is a design bound to a seeded reconfiguration controller.
 	Elaborated = flow.Elaborated
 	// PreparedDesign is a compiled-and-elaborated design reused across
