@@ -4,13 +4,20 @@
 
 GO ?= go
 
-.PHONY: build test table1 quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go perfbench-test cover lint linkcheck fmt fmt-check vet ci
+.PHONY: build test suite-smoke table1 quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go perfbench-test cover lint linkcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# suite-smoke mirrors the CI suite smoke steps: the whole regression
+# suite as JSON on the default event backend, then on the compiled
+# cycle backend.
+suite-smoke:
+	$(GO) run ./cmd/testsuite -pixels 1024 -words 16 -j 4 -json
+	$(GO) run ./cmd/testsuite -pixels 1024 -words 16 -j 4 -backend compiled
 
 # table1 mirrors the CI Table I step: the only path that marshals every
 # family's design to XML and renders its FSMs through the FSM→Java
@@ -44,7 +51,7 @@ scenario-smoke:
 	$(GO) run ./cmd/testsuite -scenario examples/scenarios/erasure-recover.json -trace $$tmp && \
 	$(GO) run ./cmd/testsuite -replay $$tmp && \
 	$(GO) run ./cmd/testsuite -replay $$tmp -backend compiled && \
-	$(GO) run ./cmd/testsuite -replay $$tmp -counterfactual backend=heapref; \
+	$(GO) run ./cmd/testsuite -replay $$tmp -counterfactual backend=compiled; \
 	rc=$$?; rm -f $$tmp; exit $$rc
 
 # sweep-smoke mirrors the CI sweep step: run a sharded campaign across
@@ -66,7 +73,7 @@ sweep-chaos:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/hades/... \
-		./internal/rtg/... ./internal/flow/... ./internal/simd/... \
+		./internal/cycle/... ./internal/rtg/... ./internal/flow/... ./internal/simd/... \
 		./internal/sweep/...
 
 # bench runs the pinned benchmark scenarios once per registered
@@ -89,7 +96,8 @@ bench-update:
 	done
 
 # bench-go runs the go-test benchmarks (Table I rows, kernel two-level
-# vs heap reference, compile stage vs Table I line counts) once each.
+# vs the test-only seed heap model, compile stage vs Table I line
+# counts) once each.
 bench-go:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkKernel' -benchtime 0.2s ./internal/hades/
@@ -132,4 +140,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint test table1 quickstart smoke scenario-smoke sweep-smoke sweep-chaos race perfbench-test cover bench
+ci: build vet fmt-check lint test suite-smoke table1 quickstart smoke scenario-smoke sweep-smoke sweep-chaos race perfbench-test cover bench

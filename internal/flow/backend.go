@@ -81,15 +81,9 @@ var (
 func init() {
 	MustRegisterBackend(Backend{
 		Name: hades.KernelTwoLevel,
-		Desc: "two-level time-bucketed event queue (default, fastest event kernel)",
+		Desc: "two-level time-bucketed event queue (default)",
 		Kind: KindEvent,
 		New:  hades.NewSimulator,
-	})
-	MustRegisterBackend(Backend{
-		Name: hades.KernelHeapRef,
-		Desc: "seed binary-heap kernel, the reference scheduling discipline",
-		Kind: KindEvent,
-		New:  hades.NewHeapRefSimulator,
 	})
 	MustRegisterBackend(Backend{
 		Name:         BackendCompiled,

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/xmlspec"
@@ -33,7 +34,10 @@ type PreparedDesign struct {
 
 	// mu makes each reseed-and-simulate round atomic; it also guards
 	// seeds and runs.
-	mu    sync.Mutex
+	mu sync.Mutex
+	// seeds holds the image each shared memory is reseeded with. SetSeed
+	// replaces the map instead of writing into it, so a round's snapshot
+	// of its seeds is the map itself.
 	seeds map[string][]int64
 	runs  int
 }
@@ -134,7 +138,9 @@ func (d *PreparedDesign) SetSeed(name string, words []int64) error {
 	for _, id := range d.elab.MemoryIDs() {
 		if id == name {
 			d.mu.Lock()
-			d.seeds[name] = append([]int64(nil), words...)
+			seeds := maps.Clone(d.seeds)
+			seeds[name] = append([]int64(nil), words...)
+			d.seeds = seeds
 			d.mu.Unlock()
 			return nil
 		}
@@ -153,15 +159,23 @@ func (d *PreparedDesign) Simulate() (*SimResult, error) {
 // SimulateContext is Simulate under a per-round cancellation context
 // (nil falls back to the pipeline's configured context).
 func (d *PreparedDesign) SimulateContext(ctx context.Context) (*SimResult, error) {
+	s, _, err := d.simulate(ctx)
+	return s, err
+}
+
+// simulate is one reseed-and-walk round. It also returns the seeds the
+// round loaded, which stay valid after the lock is released.
+func (d *PreparedDesign) simulate(ctx context.Context) (*SimResult, map[string][]int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, id := range d.elab.MemoryIDs() {
 		if err := d.elab.LoadMemory(id, d.seeds[id]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	d.runs++
-	return d.p.simulateCtx(d.elab, ctx)
+	s, err := d.p.simulateCtx(d.elab, ctx)
+	return s, d.seeds, err
 }
 
 // SimulateGang runs one RTG walk for a whole population of lanes: lane
@@ -225,8 +239,12 @@ func (d *PreparedDesign) Run() (*Outcome, error) {
 // runs outside the round lock (it touches only this round's results),
 // so one goroutine's verification overlaps the next goroutine's
 // simulation.
+//
+// The golden interpreter runs on the seeds the round simulated. The
+// source's pinned Expected contents describe the prepared inputs, so
+// they are checked only while every seed still loads those inputs.
 func (d *PreparedDesign) RunContext(ctx context.Context) (*Outcome, error) {
-	s, err := d.SimulateContext(ctx)
+	s, seeds, err := d.simulate(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +252,36 @@ func (d *PreparedDesign) RunContext(ctx context.Context) (*Outcome, error) {
 	if d.compiled == nil || !s.Completed {
 		return out, nil
 	}
-	v, err := d.p.Verify(d.compiled, s)
+	c := *d.compiled
+	c.Source.Inputs = seeds
+	if len(c.Source.Expected) > 0 && !sameImages(d.compiled.Source, seeds) {
+		c.Source.Expected = nil
+	}
+	v, err := d.p.Verify(&c, s)
 	if err != nil {
 		return nil, err
 	}
 	out.Verdict = v
 	return out, nil
+}
+
+// sameImages reports whether every array of src loads the same words
+// from seeds as from src.Inputs (both zero-filled to the array depth).
+func sameImages(src Source, seeds map[string][]int64) bool {
+	for name, depth := range src.ArraySizes {
+		in, seed := src.Inputs[name], seeds[name]
+		for i := 0; i < depth; i++ {
+			if wordAt(in, i) != wordAt(seed, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func wordAt(words []int64, i int) int64 {
+	if i < len(words) {
+		return words[i]
+	}
+	return 0
 }

@@ -63,13 +63,16 @@ type configCollector struct {
 func (c *configCollector) ConfigDone(run rtg.ConfigRun) { *c.runs = append(*c.runs, run) }
 
 // TestPreparedDesignSetSeed pins per-round reseeding: changed seeds
-// change the result, unknown memories error, and seeds are copied.
+// change the result and still verify, unknown memories error, and seeds
+// are copied.
 func TestPreparedDesignSetSeed(t *testing.T) {
 	p, err := flow.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.Prepare(scaleSource())
+	src := scaleSource()
+	src.Expected = map[string][]int64{"b": {15, -8, 38, 24, 4, 8, 12, 16}}
+	d, err := p.Prepare(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +93,15 @@ func TestPreparedDesignSetSeed(t *testing.T) {
 	}
 	if got := sim.Memories["b"][0]; got != 30 {
 		t.Fatalf("b[0]=%d want 30 (first run had %d)", got, first)
+	}
+	// A full round verifies against the seeds it simulated; the pin
+	// describes the prepared inputs and no longer applies.
+	out, err = d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK() || out.Sim.Memories["b"][0] != 30 {
+		t.Fatalf("run after SetSeed: failed %v, b[0]=%d", out.Verdict.Failed(), out.Sim.Memories["b"][0])
 	}
 	if err := d.SetSeed("ghost", nil); err == nil {
 		t.Fatal("unknown memory must error")

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// resetKernels enumerates the queue implementations reset must cover.
-var resetKernels = []struct {
-	name string
-	mk   func() *Simulator
-}{
-	{KernelTwoLevel, NewSimulator},
-	{KernelHeapRef, NewHeapRefSimulator},
-}
-
 // buildResetTraffic wires self-sustaining traffic over every queue path
 // (lanes, delta FIFO, overflow heap); seed re-arms it after a Reset.
 func buildResetTraffic(sim *Simulator) (seed func()) {
@@ -73,77 +64,73 @@ func equalSnapshots(a, b simSnapshot) bool {
 
 // TestResetReplayMatchesFreshRun pins that a reset simulator re-running
 // the same schedule produces exactly the per-run stats and final values
-// of a freshly built one, on both kernels, across several rounds.
+// of a freshly built one, across several rounds.
 func TestResetReplayMatchesFreshRun(t *testing.T) {
 	const horizon = 20_000
-	for _, k := range resetKernels {
-		t.Run(k.name, func(t *testing.T) {
-			ref := k.mk()
-			seedRef := buildResetTraffic(ref)
-			seedRef()
-			if _, err := ref.Run(horizon); err != nil {
+	t.Run(KernelTwoLevel, func(t *testing.T) {
+		ref := NewSimulator()
+		seedRef := buildResetTraffic(ref)
+		seedRef()
+		if _, err := ref.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshot(ref)
+		if want.stats.Events == 0 {
+			t.Fatal("reference run processed no events")
+		}
+
+		sim := NewSimulator()
+		seed := buildResetTraffic(sim)
+		for round := 0; round < 3; round++ {
+			if round > 0 {
+				sim.Reset()
+			}
+			seed()
+			if _, err := sim.Run(horizon); err != nil {
 				t.Fatal(err)
 			}
-			want := snapshot(ref)
-			if want.stats.Events == 0 {
-				t.Fatal("reference run processed no events")
+			if got := snapshot(sim); !equalSnapshots(got, want) {
+				t.Fatalf("round %d diverged: got %+v want %+v", round, got.stats, want.stats)
 			}
-
-			sim := k.mk()
-			seed := buildResetTraffic(sim)
-			for round := 0; round < 3; round++ {
-				if round > 0 {
-					sim.Reset()
-				}
-				seed()
-				if _, err := sim.Run(horizon); err != nil {
-					t.Fatal(err)
-				}
-				if got := snapshot(sim); !equalSnapshots(got, want) {
-					t.Fatalf("round %d diverged: got %+v want %+v", round, got.stats, want.stats)
-				}
-				if got := sim.Stats().Resets; got != uint64(round) {
-					t.Fatalf("round %d: Resets=%d", round, got)
-				}
+			if got := sim.Stats().Resets; got != uint64(round) {
+				t.Fatalf("round %d: Resets=%d", round, got)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestResetClearsPendingAndStop pins the kernel-state portion of Reset:
 // queued events vanish (back to the pool), time and per-run stats
 // rewind, stop state clears, and every signal reads undefined again.
 func TestResetClearsPendingAndStop(t *testing.T) {
-	for _, k := range resetKernels {
-		t.Run(k.name, func(t *testing.T) {
-			sim := k.mk()
-			sig := sim.NewSignal("s", 8)
-			sim.Set(sig, 5, 0)    // delta FIFO
-			sim.Set(sig, 6, 3)    // near window / heap
-			sim.Set(sig, 7, 9999) // overflow / heap
-			sim.RequestStop("test")
-			if sim.PendingEvents() != 3 {
-				t.Fatalf("pending=%d", sim.PendingEvents())
-			}
-			sim.Reset()
-			if sim.PendingEvents() != 0 {
-				t.Fatalf("pending after reset=%d", sim.PendingEvents())
-			}
-			if stopped, _ := sim.Stopped(); stopped {
-				t.Fatal("stop must clear on reset")
-			}
-			if sim.Now() != 0 {
-				t.Fatalf("now=%v", sim.Now())
-			}
-			if sig.Valid() {
-				t.Fatal("signals must be undefined after reset")
-			}
-			st := sim.Stats()
-			if st.Events != 0 || st.Resets != 1 {
-				t.Fatalf("stats=%+v", st)
-			}
-		})
-	}
+	t.Run(KernelTwoLevel, func(t *testing.T) {
+		sim := NewSimulator()
+		sig := sim.NewSignal("s", 8)
+		sim.Set(sig, 5, 0)    // delta FIFO
+		sim.Set(sig, 6, 3)    // near window
+		sim.Set(sig, 7, 9999) // overflow
+		sim.RequestStop("test")
+		if sim.PendingEvents() != 3 {
+			t.Fatalf("pending=%d", sim.PendingEvents())
+		}
+		sim.Reset()
+		if sim.PendingEvents() != 0 {
+			t.Fatalf("pending after reset=%d", sim.PendingEvents())
+		}
+		if stopped, _ := sim.Stopped(); stopped {
+			t.Fatal("stop must clear on reset")
+		}
+		if sim.Now() != 0 {
+			t.Fatalf("now=%v", sim.Now())
+		}
+		if sig.Valid() {
+			t.Fatal("signals must be undefined after reset")
+		}
+		st := sim.Stats()
+		if st.Events != 0 || st.Resets != 1 {
+			t.Fatalf("stats=%+v", st)
+		}
+	})
 }
 
 // TestResetDetachesPostMarkListeners pins the Mark/Reset contract: a
@@ -178,26 +165,24 @@ func TestResetDetachesPostMarkListeners(t *testing.T) {
 
 // TestResetSteadyStateAllocs mirrors TestKernelSteadyStateAllocs for the
 // replay path: once the pools are warm, a reset-and-rerun round performs
-// no allocations on either kernel.
+// no allocations.
 func TestResetSteadyStateAllocs(t *testing.T) {
-	for _, k := range resetKernels {
-		t.Run(k.name, func(t *testing.T) {
-			sim := k.mk()
-			seed := buildResetTraffic(sim)
+	t.Run(KernelTwoLevel, func(t *testing.T) {
+		sim := NewSimulator()
+		seed := buildResetTraffic(sim)
+		seed()
+		if _, err := sim.Run(20_000); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			sim.Reset()
 			seed()
-			if _, err := sim.Run(20_000); err != nil {
+			if _, err := sim.Run(2_000); err != nil {
 				t.Fatal(err)
 			}
-			avg := testing.AllocsPerRun(20, func() {
-				sim.Reset()
-				seed()
-				if _, err := sim.Run(2_000); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("reset-and-replay allocates %v objects per round, want 0", avg)
-			}
 		})
-	}
+		if avg != 0 {
+			t.Fatalf("reset-and-replay allocates %v objects per round, want 0", avg)
+		}
+	})
 }

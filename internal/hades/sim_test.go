@@ -517,3 +517,11 @@ func TestEventMonotonicityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelNames pins the kernel name every run record carries
+// (rtg.ConfigRun.Kernel), which is also the flow default backend's.
+func TestKernelNames(t *testing.T) {
+	if got := NewSimulator().Kernel(); got != "twolevel" {
+		t.Fatalf("Kernel() = %q, want twolevel", got)
+	}
+}

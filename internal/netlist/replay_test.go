@@ -104,51 +104,42 @@ func sameAccRun(a, b accRun) bool {
 // TestElaborationResetReplaysFresh pins that Reset + RunToCompletion
 // reproduces a fresh elaboration bit for bit — run records, per-run
 // kernel stats and sink recordings — across rounds with differing
-// stimulus contents, on both kernels.
+// stimulus contents.
 func TestElaborationResetReplaysFresh(t *testing.T) {
-	kernels := []struct {
-		name string
-		mk   func() *hades.Simulator
-	}{
-		{hades.KernelTwoLevel, hades.NewSimulator},
-		{hades.KernelHeapRef, hades.NewHeapRefSimulator},
-	}
-	for _, k := range kernels {
-		t.Run(k.name, func(t *testing.T) {
-			dp, fsm := accumulatorDesign()
-			fresh := func(vec []int64) accRun {
-				sim := k.mk()
-				clk := sim.NewSignal("clk", 1)
-				el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": vec}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return runAccumulator(t, el)
-			}
-
-			sim := k.mk()
+	t.Run(hades.KernelTwoLevel, func(t *testing.T) {
+		dp, fsm := accumulatorDesign()
+		fresh := func(vec []int64) accRun {
+			sim := hades.NewSimulator()
 			clk := sim.NewSignal("clk", 1)
-			el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": stimVec(0, 64)}})
+			el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": vec}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := runAccumulator(t, el)
-			if want := fresh(stimVec(0, 64)); !sameAccRun(first, want) {
-				t.Fatalf("pre-replay sanity: %+v vs %+v", first, want)
+			return runAccumulator(t, el)
+		}
+
+		sim := hades.NewSimulator()
+		clk := sim.NewSignal("clk", 1)
+		el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": stimVec(0, 64)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := runAccumulator(t, el)
+		if want := fresh(stimVec(0, 64)); !sameAccRun(first, want) {
+			t.Fatalf("pre-replay sanity: %+v vs %+v", first, want)
+		}
+		for round := 1; round <= 3; round++ {
+			vec := stimVec(round, 64)
+			el.Reset(map[string][]int64{"src": vec})
+			got := runAccumulator(t, el)
+			if want := fresh(vec); !sameAccRun(got, want) {
+				t.Fatalf("round %d: replay diverged from fresh elaboration:\n got %+v\nwant %+v", round, got, want)
 			}
-			for round := 1; round <= 3; round++ {
-				vec := stimVec(round, 64)
-				el.Reset(map[string][]int64{"src": vec})
-				got := runAccumulator(t, el)
-				if want := fresh(vec); !sameAccRun(got, want) {
-					t.Fatalf("round %d: replay diverged from fresh elaboration:\n got %+v\nwant %+v", round, got, want)
-				}
-				if st := el.Sim.Stats(); st.Elaborations != 1 || st.Resets != uint64(round) {
-					t.Fatalf("round %d: lifetime counters %+v", round, st)
-				}
+			if st := el.Sim.Stats(); st.Elaborations != 1 || st.Resets != uint64(round) {
+				t.Fatalf("round %d: lifetime counters %+v", round, st)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestResetFallsBackToOriginalSeeds pins the init-override contract:
@@ -175,44 +166,34 @@ func TestResetFallsBackToOriginalSeeds(t *testing.T) {
 // subsystem exists for: once elaborated and warmed, a reset-and-replay
 // round of a full design run stays within a handful of allocations
 // (the RunResult itself) — against the thousands a fresh elaboration
-// pays — on both kernels. Mirrors hades.TestResetSteadyStateAllocs one
-// layer up.
+// pays. Mirrors hades.TestResetSteadyStateAllocs one layer up.
 func TestReplaySteadyStateAllocs(t *testing.T) {
-	kernels := []struct {
-		name string
-		mk   func() *hades.Simulator
-	}{
-		{hades.KernelTwoLevel, hades.NewSimulator},
-		{hades.KernelHeapRef, hades.NewHeapRefSimulator},
-	}
-	for _, k := range kernels {
-		t.Run(k.name, func(t *testing.T) {
-			dp, fsm := accumulatorDesign()
-			vec := stimVec(3, 256)
-			init := map[string][]int64{"src": vec}
-			sim := k.mk()
-			clk := sim.NewSignal("clk", 1)
-			el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: init})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm: first run grows pools, sink capacity, clock/watchdog.
-			for i := 0; i < 2; i++ {
-				if i > 0 {
-					el.Reset(init)
-				}
-				runAccumulator(t, el)
-			}
-			avg := testing.AllocsPerRun(10, func() {
+	t.Run(hades.KernelTwoLevel, func(t *testing.T) {
+		dp, fsm := accumulatorDesign()
+		vec := stimVec(3, 256)
+		init := map[string][]int64{"src": vec}
+		sim := hades.NewSimulator()
+		clk := sim.NewSignal("clk", 1)
+		el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: init})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm: first run grows pools, sink capacity, clock/watchdog.
+		for i := 0; i < 2; i++ {
+			if i > 0 {
 				el.Reset(init)
-				rr, err := el.RunToCompletion(10, 10_000)
-				if err != nil || !rr.Completed {
-					t.Fatalf("replay failed: %v %+v", err, rr)
-				}
-			})
-			if avg > 4 {
-				t.Fatalf("reset-and-replay allocates %v objects per configuration, want ~0 (<=4)", avg)
+			}
+			runAccumulator(t, el)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			el.Reset(init)
+			rr, err := el.RunToCompletion(10, 10_000)
+			if err != nil || !rr.Completed {
+				t.Fatalf("replay failed: %v %+v", err, rr)
 			}
 		})
-	}
+		if avg > 4 {
+			t.Fatalf("reset-and-replay allocates %v objects per configuration, want ~0 (<=4)", avg)
+		}
+	})
 }

@@ -117,75 +117,65 @@ func sameRuns(t *testing.T, label string, a, b *ExecResult) {
 // tentpole: across repeated Execute rounds with fresh inputs, a
 // replaying controller is trace-identical — cycles, end times, per-run
 // kernel stats, sink streams, final memories — to one that rebuilds
-// every configuration from scratch, on both kernels.
+// every configuration from scratch.
 func TestReplayMatchesFreshElaboration(t *testing.T) {
-	kernels := []struct {
-		name string
-		mk   func() *hades.Simulator
-	}{
-		{hades.KernelTwoLevel, hades.NewSimulator},
-		{hades.KernelHeapRef, hades.NewHeapRefSimulator},
-	}
 	const n = 8
-	for _, k := range kernels {
-		t.Run(k.name, func(t *testing.T) {
-			mkOpts := func(disable bool) Options {
-				o := testOptions()
-				o.NewSimulator = k.mk
-				o.DisableReplay = disable
-				o.LocalInit = map[string]map[string][]int64{
-					"cfg3": {"s_in": propInputs(99, 16)},
-				}
-				return o
+	t.Run(hades.KernelTwoLevel, func(t *testing.T) {
+		mkOpts := func(disable bool) Options {
+			o := testOptions()
+			o.DisableReplay = disable
+			o.LocalInit = map[string]map[string][]int64{
+				"cfg3": {"s_in": propInputs(99, 16)},
 			}
-			freshCtl, err := NewController(replayPropertyDesign(n), mkOpts(true))
-			if err != nil {
-				t.Fatal(err)
+			return o
+		}
+		freshCtl, err := NewController(replayPropertyDesign(n), mkOpts(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayCtl, err := NewController(replayPropertyDesign(n), mkOpts(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			in := propInputs(round, n)
+			var results [2]*ExecResult
+			for i, ctl := range []*Controller{freshCtl, replayCtl} {
+				if err := ctl.LoadMemory("ma", in); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ctl.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Completed || len(res.Runs) != 3 {
+					t.Fatalf("round %d ctl %d: %+v", round, i, res)
+				}
+				results[i] = res
 			}
-			replayCtl, err := NewController(replayPropertyDesign(n), mkOpts(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round < 4; round++ {
-				in := propInputs(round, n)
-				var results [2]*ExecResult
-				for i, ctl := range []*Controller{freshCtl, replayCtl} {
-					if err := ctl.LoadMemory("ma", in); err != nil {
-						t.Fatal(err)
-					}
-					res, err := ctl.Execute()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Completed || len(res.Runs) != 3 {
-						t.Fatalf("round %d ctl %d: %+v", round, i, res)
-					}
-					results[i] = res
-				}
-				sameRuns(t, k.name, results[0], results[1])
-				for _, id := range []string{"ma", "mb", "mc"} {
-					a, _ := freshCtl.Memory(id)
-					b, _ := replayCtl.Memory(id)
-					for j := range a {
-						if a[j] != b[j] {
-							t.Fatalf("round %d: memory %s[%d]=%d vs %d", round, id, j, a[j], b[j])
-						}
-					}
-				}
-				// The arms must actually be doing what their names say.
-				for _, run := range results[0].Runs {
-					if run.Stats.Elaborations != 1 || run.Stats.Resets != 0 {
-						t.Fatalf("fresh arm replayed: %+v", run.Stats)
-					}
-				}
-				for _, run := range results[1].Runs {
-					if run.Stats.Elaborations != 1 || run.Stats.Resets != uint64(round) {
-						t.Fatalf("round %d: replay arm lifetime counters %+v", round, run.Stats)
+			sameRuns(t, hades.KernelTwoLevel, results[0], results[1])
+			for _, id := range []string{"ma", "mb", "mc"} {
+				a, _ := freshCtl.Memory(id)
+				b, _ := replayCtl.Memory(id)
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("round %d: memory %s[%d]=%d vs %d", round, id, j, a[j], b[j])
 					}
 				}
 			}
-		})
-	}
+			// The arms must actually be doing what their names say.
+			for _, run := range results[0].Runs {
+				if run.Stats.Elaborations != 1 || run.Stats.Resets != 0 {
+					t.Fatalf("fresh arm replayed: %+v", run.Stats)
+				}
+			}
+			for _, run := range results[1].Runs {
+				if run.Stats.Elaborations != 1 || run.Stats.Resets != uint64(round) {
+					t.Fatalf("round %d: replay arm lifetime counters %+v", round, run.Stats)
+				}
+			}
+		}
+	})
 }
 
 // TestSeedsAreCopiedNotAliased is the regression test for the

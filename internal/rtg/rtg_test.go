@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hades"
 	"repro/internal/netlist"
 	"repro/internal/xmlspec"
 )
@@ -323,8 +322,8 @@ func TestEffectiveOptionsExposed(t *testing.T) {
 	if o.ClockPeriod != want.ClockPeriod || o.MaxCycles != want.MaxCycles || o.MaxConfigs != want.MaxConfigs {
 		t.Fatalf("effective options %+v, want the values passed in", o)
 	}
-	if o.Registry == nil || o.NewSimulator == nil {
-		t.Fatal("Registry and NewSimulator must be defaulted")
+	if o.Registry == nil || o.Engine == nil {
+		t.Fatal("Registry and Engine must be defaulted")
 	}
 }
 
@@ -351,27 +350,5 @@ func TestAfterConfigStreamsRuns(t *testing.T) {
 	}
 	if len(streamed) != len(res.Runs) || streamed[0] != "cfg1" || streamed[1] != "cfg2" {
 		t.Fatalf("streamed=%v runs=%d", streamed, len(res.Runs))
-	}
-}
-
-func TestNewSimulatorHookSelectsKernel(t *testing.T) {
-	d := twoPartitionDesign(4)
-	opts := testOptions()
-	opts.NewSimulator = hades.NewHeapRefSimulator
-	c, err := NewController(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadMemory("ma", []int64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range res.Runs {
-		if run.Kernel != hades.KernelHeapRef {
-			t.Fatalf("run %s on kernel %q, want heapref", run.ID, run.Kernel)
-		}
 	}
 }

@@ -197,7 +197,7 @@ func TestCampaignDigestSeparatesLayouts(t *testing.T) {
 	if a.Digest != d.Digest {
 		t.Error("same spec produced different digests")
 	}
-	e := mustLoad(t, &api.SweepSpec{Name: "camp", Shards: 2, Backend: "heapref", Scenario: scenarioSpec(1, 6)})
+	e := mustLoad(t, &api.SweepSpec{Name: "camp", Shards: 2, Backend: "compiled", Scenario: scenarioSpec(1, 6)})
 	if a.Digest == e.Digest {
 		t.Error("different backends share a campaign digest")
 	}
